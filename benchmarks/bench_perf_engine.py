@@ -29,7 +29,7 @@ import time
 
 from repro.arch.fast_executor import FastExecutor
 from repro.core.engine import simulate
-from repro.security.observer import poke_secrets
+from repro.core.engine import poke_secrets
 from repro.workloads.microbench import (
     MicrobenchSpec,
     compile_microbench,

@@ -70,10 +70,10 @@ def main() -> None:
               f"secure regions = {executor.result.secure_regions}")
 
     print("\n--- but only one of them is secure ---")
-    for sempe in (True, False):
+    for defense in ("sempe", "plain"):
         report = noninterference_report(
-            compiled.program, "key", [0, 1, 3], sempe=sempe)
-        machine = "SeMPE " if sempe else "legacy"
+            compiled.program, "key", [0, 1, 3], defense=defense)
+        machine = "SeMPE " if defense == "sempe" else "legacy"
         verdict = ("all channels closed" if report.secure
                    else "leaks via " + ", ".join(report.leaking_channels()))
         print(f"{machine} machine: {verdict}")

@@ -59,11 +59,11 @@ def main() -> None:
           "(predicated straight-line code)")
 
     print("\n--- side channels across secret values {0, 1, 9} ---")
-    for mode, sempe in (("plain", False), ("sempe", True)):
+    for mode in ("plain", "sempe"):
         compiled = compile_source(SOURCE, mode=mode)
         report = noninterference_report(
-            compiled.program, "key", [0, 1, 9], sempe=sempe)
-        print(f"\n[{mode} compile, sempe={sempe}]")
+            compiled.program, "key", [0, 1, 9], defense=mode)
+        print(f"\n[{mode} compile and machine]")
         print(report.summary())
 
     print("\nThe baseline leaks on every behavioural channel; "

@@ -13,11 +13,11 @@ registered victim's secret on the baseline machine and degrade to
 chance under SeMPE.
 """
 
+from repro.core.engine import poke_secrets
 from repro.security.observer import (
     ObservationTrace,
     TraceObserver,
     collect_observation,
-    poke_secrets,
 )
 from repro.security.leakage import (
     ChannelReport,

@@ -335,11 +335,11 @@ def execute_attack(spec: AttackSpec, mode: str,
     secret_sets = [{workload.secret: value} for value in candidates]
     if engine == "batch":
         traces = collect_observations_batch(
-            compiled.program, secret_sets, defense=defense.name,
+            compiled.program, secret_sets, defense=defense,
             config=config, keep_streams=keep)
     else:
         traces = [collect_observation(
-            compiled.program, defense=defense.name, secret_values=secrets,
+            compiled.program, defense=defense, secret_values=secrets,
             config=config, keep_streams=keep, engine=engine)
             for secrets in secret_sets]
     observables = [attacker.observable(trace) for trace in traces]

@@ -28,8 +28,8 @@ import random
 from dataclasses import dataclass
 
 from repro.arch.executor import Executor
+from repro.core.engine import poke_secrets
 from repro.isa.program import Program
-from repro.security.observer import poke_secrets
 from repro.security.stats import majority_vote_bits
 
 
@@ -193,7 +193,7 @@ class TimingAttack:
         from repro.security.observer import collect_observation
 
         trace = collect_observation(
-            self.program, sempe=self.sempe,
+            self.program, defense="sempe" if self.sempe else "plain",
             secret_values={self.secret_name: key}, config=self.config,
         )
         return trace.cycles

@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.core.engine import resolve_defense
+from repro.defenses.registry import DefenseSpec
 from repro.isa.program import Program
 from repro.security.observer import ObservationTrace, collect_observation
 from repro.uarch.config import MachineConfig
@@ -133,23 +135,20 @@ def noninterference_report(
     program: Program,
     secret_name: str,
     secret_values: list[int],
-    sempe: bool | None = None,
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
     engine: str | None = None,
-    defense: str | None = None,
+    defense: str | DefenseSpec | None = None,
 ) -> NoninterferenceReport:
     """Run *program* once per secret value and compare all channels.
 
-    ``defense`` selects the machine-side protection scheme the victim
-    runs under (the legacy ``sempe`` bool remains as an alias).
+    ``defense`` (a registered name or a :class:`DefenseSpec`) selects
+    the machine-side protection scheme the victim runs under.
     Array-valued secrets must be passed as tuples (they key the
     per-secret observation table).
     """
-    from repro.core.engine import resolve_defense
-
-    spec = resolve_defense(defense, sempe)
+    spec = resolve_defense(defense)
     report = NoninterferenceReport(
         program_name=program.name, sempe=spec.sempe_machine,
         secret_name=secret_name
@@ -158,7 +157,7 @@ def noninterference_report(
     for value in secret_values:
         traces[value] = collect_observation(
             program,
-            defense=spec.name,
+            defense=spec,
             secret_values={secret_name: value},
             symbols=symbols,
             config=config,

@@ -14,7 +14,10 @@ the adversary to see for one victim run:
 * ``instruction_count`` — committed instruction count.
 
 :func:`collect_observation` runs a program on the full machine
-(functional + timing) and gathers all of them.
+(functional + timing) and gathers all of them; the machine itself is
+assembled by :class:`~repro.core.engine.SempeMachine`, so an
+observation's ``cycles`` always equal :func:`~repro.core.engine.simulate`'s
+for the same inputs.
 """
 
 from __future__ import annotations
@@ -22,17 +25,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.arch.executor import Executor
-from repro.arch.fast_executor import FastExecutor
-from repro.core.engine import (
-    _resolve_engine,
-    flush_penalty_cycles,
-    resolve_defense,
-)
+from repro.core.engine import SempeMachine
+from repro.defenses.registry import DefenseSpec
 from repro.isa.program import Program
-from repro.uarch.batch_pipeline import lane_outcomes, residue_digests
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import OutOfOrderPipeline
 
 
 @dataclass
@@ -69,7 +65,13 @@ class ObservationTrace:
 
 
 class TraceObserver:
-    """Streams a functional trace, accumulating observable digests."""
+    """Streams a functional trace, accumulating observable digests.
+
+    :class:`~repro.core.engine.SempeMachine` feeds it (record by record
+    on the serial engines, :meth:`observe_streams` per batch lane) and
+    sets ``outcome`` — the post-run timing and residue — once the run
+    has finished; :meth:`trace` then assembles the observation.
+    """
 
     def __init__(self, line_bytes: int = 64, keep_streams: bool = False) -> None:
         self.line_bytes = line_bytes
@@ -80,6 +82,7 @@ class TraceObserver:
         self._mem_hash = hashlib.sha256()
         self._transient_hash = hashlib.sha256()
         self.instruction_count = 0
+        self.outcome = None
 
     def observe(self, record) -> None:
         if record.kind != "inst":
@@ -103,6 +106,36 @@ class TraceObserver:
             if self.keep_streams:
                 self.mem_addresses.append(line)
 
+    def observe_streams(self, instruction_count: int, pc_values,
+                        mem_lines) -> None:
+        """Batch twin of :meth:`observe`: one lane's committed PC and
+        data-line streams at once (numpy arrays, as
+        :meth:`~repro.arch.batch.BatchExecutor.lane_streams` returns
+        them), hashed to the same digests record-by-record observation
+        produces."""
+        self.instruction_count += instruction_count
+        self._pc_hash.update(pc_values.astype("<u8").tobytes())
+        self._mem_hash.update(mem_lines.astype("<u8").tobytes())
+        if self.keep_streams:
+            self.pc_sequence.extend(pc_values.tolist())
+            self.mem_addresses.extend(mem_lines.tolist())
+
+    def trace(self) -> ObservationTrace:
+        """The observation of the finished run (requires ``outcome``)."""
+        outcome = self.outcome
+        return ObservationTrace(
+            cycles=outcome.stats.cycles,
+            instruction_count=self.instruction_count,
+            pc_digest=self.pc_digest,
+            mem_digest=self.mem_digest,
+            cache_digest=outcome.cache_digest,
+            predictor_digest=outcome.predictor_digest,
+            transient_digest=outcome.transient_digest,
+            pc_sequence=self.pc_sequence,
+            mem_addresses=self.mem_addresses,
+            cache_occupancy=outcome.cache_occupancy,
+        )
+
     @property
     def pc_digest(self) -> str:
         return self._pc_hash.hexdigest()
@@ -116,54 +149,33 @@ class TraceObserver:
         return self._transient_hash.hexdigest()
 
 
-def poke_secrets(memory, symbols: dict[str, int],
-                 secret_values: dict[str, object] | None) -> None:
-    """Install secret values into *memory* before a victim run.
-
-    This is the one place secrets are encoded into the machine: scalar
-    secrets are masked to the 8-byte word their ``secret int`` symbol
-    occupies, and array secrets (lists/tuples) fill consecutive 8-byte
-    words.  Every consumer — observation collection, the concrete
-    attacks, the leak experiments — must poke through here so attacker
-    and victim agree on the secret's width and encoding.
-    """
-    for name, value in (secret_values or {}).items():
-        if isinstance(value, (list, tuple)):
-            for index, element in enumerate(value):
-                memory.store(symbols[name] + 8 * index,
-                             element & ((1 << 64) - 1), 8)
-        else:
-            memory.store(symbols[name], value & ((1 << 64) - 1), 8)
-
-
 def collect_observation(
     program: Program,
-    sempe: bool | None = None,
-    secret_values: dict[str, int] | None = None,
+    secret_values: dict[str, object] | None = None,
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     keep_streams: bool = False,
     max_instructions: int = 50_000_000,
     engine: str | None = None,
-    defense: str | None = None,
+    defense: str | DefenseSpec | None = None,
 ) -> ObservationTrace:
     """Run *program* with the given secrets and collect the observation.
 
     ``secret_values`` maps symbol names (resolved through ``symbols`` or
     ``program.symbols``) to the values poked into memory before the run.
 
-    ``defense`` selects the protection scheme whose machine-side hooks
-    the victim runs under (config overrides, SeMPE hardware, fences,
-    exit flush) *and* whose attacker model shapes the residue channels:
-    partitioned or randomized caches expose their attacker-facing views
-    (see :meth:`repro.mem.cache.Cache.attacker_occupancy`), an exit
-    flush clears the residue before it is digested.  The legacy
-    ``sempe`` bool remains as an alias for ``sempe``/``plain``.
+    ``defense`` (a registered name or a :class:`DefenseSpec`) selects
+    the protection scheme whose machine-side hooks the victim runs
+    under (config overrides, SeMPE hardware, fences, exit flush) *and*
+    whose attacker model shapes the residue channels: partitioned or
+    randomized caches expose their attacker-facing views (see
+    :meth:`repro.mem.cache.Cache.attacker_occupancy`), an exit flush
+    clears the residue before it is digested.
 
-    ``engine`` selects the functional engine (``"fast"``/``"reference"``,
-    default the session default); both produce identical observations,
-    so leak verdicts are engine-independent — which the victim test
-    suite asserts for every registered workload.
+    ``engine`` selects the engine (default the session default); all
+    three produce identical observations, so leak verdicts are
+    engine-independent — which the victim test suite asserts for every
+    registered workload.
 
     **Hermeticity contract:** every call builds a fresh executor,
     pipeline, cache hierarchy, prefetchers, and predictors, and never
@@ -172,100 +184,28 @@ def collect_observation(
     multi-trial attack engine depends on this (residue from a previous
     trial, e.g. a trained ``StridePrefetcher`` table, must never
     masquerade as a leak), and ``tests/security/test_observer.py``
-    pins it on both engines.
+    pins it on every engine.
     """
-    spec = resolve_defense(defense, sempe)
-    engine = _resolve_engine(engine)
-    if engine == "batch":
-        # One-trial batch: same engine, same observation; campaigns use
-        # collect_observations_batch directly to share the batch run.
-        return collect_observations_batch(
-            program, [secret_values or {}], symbols=symbols, config=config,
-            keep_streams=keep_streams, max_instructions=max_instructions,
-            defense=spec,
-        )[0]
-    sempe = spec.sempe_machine
-    config = spec.apply_config(config or MachineConfig())
-    executor_cls = FastExecutor if engine == "fast" else Executor
-    executor = executor_cls(program, sempe=sempe,
-                            max_instructions=max_instructions,
-                            speculation=config.speculation,
-                            fence=spec.fence_branches)
-    symbol_table = symbols if symbols is not None else program.symbols
-    poke_secrets(executor.state.memory, symbol_table, secret_values)
-
-    observer = TraceObserver(
-        line_bytes=config.hierarchy.dl1.line_bytes, keep_streams=keep_streams
-    )
-    pipeline = OutOfOrderPipeline(config, sempe=sempe,
-                                  fence=spec.fence_branches)
-
-    if engine == "fast":
-        # Tee the columnar chunk stream: feed the observer through the
-        # re-materializing records() adapter (bit-identical to the
-        # reference stream by the chunk protocol) while the timing model
-        # consumes the chunks natively.
-        def observed_chunks(chunks):
-            for chunk in chunks:
-                for record in chunk.records():
-                    observer.observe(record)
-                yield chunk
-
-        chunks = executor.run_chunks(
-            line_bytes=config.hierarchy.il1.line_bytes)
-        stats = pipeline.run_chunks(observed_chunks(chunks))
-    else:
-        def observed(trace):
-            for record in trace:
-                observer.observe(record)
-                yield record
-
-        stats = pipeline.run(observed(executor.run()))
-
-    if spec.flush_on_exit:
-        # The region-exit flush clears the residue *and* costs cycles;
-        # both must land in the observation or the flush would look
-        # free and leaky at the same time.
-        stats.cycles += flush_penalty_cycles(config)
-        pipeline.flush_transient_state()
-    cache_digest, cache_occupancy, predictor_digest = \
-        _residue_digests(pipeline)
-
-    return ObservationTrace(
-        cycles=stats.cycles,
-        instruction_count=observer.instruction_count,
-        pc_digest=observer.pc_digest,
-        mem_digest=observer.mem_digest,
-        cache_digest=cache_digest,
-        predictor_digest=predictor_digest,
-        transient_digest=observer.transient_digest,
-        pc_sequence=observer.pc_sequence,
-        mem_addresses=observer.mem_addresses,
-        cache_occupancy=cache_occupancy,
-    )
-
-
-def _residue_digests(pipeline: OutOfOrderPipeline) -> tuple[str, tuple, str]:
-    """Post-run residue channels of one machine (see
-    :func:`repro.uarch.batch_pipeline.residue_digests`, the canonical
-    implementation the batched timing path memoizes)."""
-    return residue_digests(pipeline.hierarchy, pipeline.predictor,
-                           pipeline.btb, pipeline.ittage, pipeline.ras)
+    machine = SempeMachine(config, engine=engine, defense=defense)
+    observer = TraceObserver(machine.config.hierarchy.dl1.line_bytes,
+                             keep_streams)
+    machine.run(program, max_instructions, secret_values=secret_values,
+                symbols=symbols, observer=observer)
+    return observer.trace()
 
 
 def collect_observations_batch(
     program: Program,
     secret_sets: list[dict[str, object] | None],
-    sempe: bool | None = None,
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     keep_streams: bool = False,
     max_instructions: int = 50_000_000,
-    defense: str | None = None,
+    defense: str | DefenseSpec | None = None,
 ) -> list[ObservationTrace]:
     """One observation per secret set, executed as a single batch.
 
-    The trial-batched engine (:class:`~repro.arch.batch.BatchExecutor`)
+    The batch engine (:meth:`~repro.core.engine.SempeMachine.run_lanes`)
     decodes the program once and steps every trial together, so a
     whole profiling campaign pays one functional execution instead of
     ``len(secret_sets)``; each lane's observation is byte-identical to
@@ -277,60 +217,10 @@ def collect_observations_batch(
     residue digests are taken per lane, so trials cannot contaminate
     each other any more than back-to-back serial calls could.
     """
-    from repro.arch.batch import BatchExecutor
-
-    spec = resolve_defense(defense, sempe)
-    sempe_machine = spec.sempe_machine
-    config = spec.apply_config(config or MachineConfig())
-    symbol_table = symbols if symbols is not None else program.symbols
-    n_lanes = len(secret_sets)
-    executor = BatchExecutor(program, sempe=sempe_machine, n_lanes=n_lanes,
-                             max_instructions=max_instructions,
-                             speculation=config.speculation,
-                             fence=spec.fence_branches)
-    for lane, secret_values in enumerate(secret_sets):
-        poke_secrets(executor.memory.lane_view(lane), symbol_table,
-                     secret_values)
-    executor.run(line_bytes=config.hierarchy.il1.line_bytes)
-
-    # The batched timing path: one pipeline pass per *distinct* lane
-    # timing digest (SeMPE campaigns usually collapse to one), memoized
-    # across calls.  Flush-on-exit, the transient tee, and the residue
-    # digests all happen inside lane_outcomes, so a memo hit reproduces
-    # the full observation without touching a pipeline.
-    dl1_line_bytes = config.hierarchy.dl1.line_bytes
-    outcomes = lane_outcomes(
-        executor, config,
-        sempe=sempe_machine,
-        fence=spec.fence_branches,
-        defense_fingerprint=spec.fingerprint(),
-        flush_penalty=flush_penalty_cycles(config)
-        if spec.flush_on_exit else 0,
-    )
-    observations = []
-    for lane, outcome in enumerate(outcomes):
-        if outcome is None:
-            # Faulted lane: raise in lane order, exactly where the
-            # serial per-lane generator would have.
-            raise executor.lane_error(lane)
-        instruction_count, pc_values, mem_lines = executor.lane_streams(
-            lane, dl1_line_bytes)
-        pc_digest = hashlib.sha256(
-            pc_values.astype("<u8").tobytes()).hexdigest()
-        mem_digest = hashlib.sha256(
-            mem_lines.astype("<u8").tobytes()).hexdigest()
-        observations.append(ObservationTrace(
-            cycles=outcome.stats.cycles,
-            instruction_count=instruction_count,
-            pc_digest=pc_digest,
-            mem_digest=mem_digest,
-            cache_digest=outcome.cache_digest,
-            predictor_digest=outcome.predictor_digest,
-            transient_digest=outcome.transient_digest,
-            pc_sequence=pc_values.tolist() if keep_streams else [],
-            mem_addresses=mem_lines.tolist() if keep_streams else [],
-            cache_occupancy=outcome.cache_occupancy,
-        ))
-    return observations
-
-
+    machine = SempeMachine(config, engine="batch", defense=defense)
+    line_bytes = machine.config.hierarchy.dl1.line_bytes
+    observers = [TraceObserver(line_bytes, keep_streams)
+                 for _ in secret_sets]
+    machine.run_lanes(program, secret_sets, max_instructions,
+                      symbols=symbols, observers=observers)
+    return [observer.trace() for observer in observers]

@@ -19,11 +19,10 @@ np = pytest.importorskip("numpy")
 from repro.arch.batch import BatchExecutor
 from repro.arch.executor import InstructionLimitError
 from repro.arch.fast_executor import FastExecutor
-from repro.core.engine import simulate
+from repro.core.engine import poke_secrets, simulate
 from repro.security.observer import (
     collect_observation,
     collect_observations_batch,
-    poke_secrets,
 )
 from repro.workloads.microbench import (
     MicrobenchSpec,
@@ -42,9 +41,9 @@ from repro.workloads.registry import get_workload
 def test_simulate_batch_equals_fast(workload, mode, fast_config):
     spec = MicrobenchSpec(workload, w=2, iters=1)
     program = compile_microbench(spec, mode).program
-    fast = simulate(program, sempe=mode == "sempe", config=fast_config,
+    fast = simulate(program, defense=mode, config=fast_config,
                     engine="fast")
-    batch = simulate(program, sempe=mode == "sempe", config=fast_config,
+    batch = simulate(program, defense=mode, config=fast_config,
                      engine="batch")
     assert batch == fast
 
@@ -56,8 +55,9 @@ def test_simulate_batch_snapshot_mechanisms(mechanism, fast_config):
     fast_config.snapshot_mechanism = mechanism
     spec = MicrobenchSpec("fibonacci", w=2, iters=1)
     program = compile_microbench(spec, "sempe").program
-    fast = simulate(program, sempe=True, config=fast_config, engine="fast")
-    batch = simulate(program, sempe=True, config=fast_config,
+    fast = simulate(program, defense="sempe", config=fast_config,
+                    engine="fast")
+    batch = simulate(program, defense="sempe", config=fast_config,
                      engine="batch")
     assert batch == fast
 
@@ -69,7 +69,7 @@ def test_simulate_batch_fuel_parity(budget, fast_config):
     errors = []
     for engine in ("fast", "batch"):
         with pytest.raises(InstructionLimitError) as err:
-            simulate(program, sempe=True, config=fast_config,
+            simulate(program, defense="sempe", config=fast_config,
                      max_instructions=budget, engine=engine)
         errors.append(err.value)
     fast, batch = errors

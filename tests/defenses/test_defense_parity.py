@@ -1,8 +1,6 @@
 """Golden parity: the registry path reproduces the legacy modes
 bit-identically, and both engines agree under every defense."""
 
-import warnings
-
 import pytest
 
 from repro.core.engine import simulate
@@ -16,11 +14,10 @@ pytestmark = pytest.mark.parity
 MICRO = MicrobenchSpec("fibonacci", w=2, iters=2)
 
 
-def _legacy_simulate(program, sempe, engine=None):
-    """The pre-registry call, with its deprecation silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return simulate(program, sempe=sempe, engine=engine)
+def _legacy_simulate(program, sempe):
+    """The pre-registry machine choice: SeMPE hardware or the baseline
+    (the legacy ``cte`` mode ran on the baseline)."""
+    return simulate(program, defense="sempe" if sempe else "plain")
 
 
 @pytest.mark.parametrize("mode", ["plain", "sempe", "cte"])
@@ -56,17 +53,25 @@ def test_engines_bit_identical_under_every_defense(defense):
     assert fast.to_dict() == reference.to_dict()
 
 
-def test_sempe_kwarg_deprecated_but_working():
-    program = compile_microbench(MICRO, "plain").program
-    with pytest.warns(DeprecationWarning, match="defense="):
-        legacy = simulate(program, sempe=False)
-    assert legacy.to_dict() == simulate(program, defense="plain").to_dict()
+def test_sempe_kwarg_removed():
+    """The deprecated ``sempe=`` alias is gone from every entry point."""
+    from repro.core.engine import SempeMachine
+    from repro.security.leakage import noninterference_report
+    from repro.security.observer import (
+        collect_observation,
+        collect_observations_batch,
+    )
 
-
-def test_sempe_and_defense_conflict():
     program = compile_microbench(MICRO, "plain").program
-    with pytest.raises(ValueError, match="not both"):
-        simulate(program, sempe=True, defense="plain")
+    for call in (lambda: simulate(program, sempe=False),
+                 lambda: SempeMachine(sempe=False),
+                 lambda: collect_observation(program, sempe=False),
+                 lambda: collect_observations_batch(program, [{}],
+                                                    sempe=False),
+                 lambda: noninterference_report(program, "x", [0],
+                                                sempe=False)):
+        with pytest.raises(TypeError, match="sempe"):
+            call()
 
 
 def test_default_defense_is_sempe():

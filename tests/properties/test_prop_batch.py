@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.arch.batch import BatchExecutor
 from repro.arch.fast_executor import FastExecutor
-from repro.security.observer import poke_secrets
+from repro.core.engine import poke_secrets
 from repro.workloads.registry import get_workload
 
 _SPEC = get_workload("memcmp")

@@ -4,12 +4,9 @@ import hashlib
 
 import pytest
 
+from repro.core.engine import poke_secrets
 from repro.lang.compiler import compile_source
-from repro.security.observer import (
-    TraceObserver,
-    collect_observation,
-    poke_secrets,
-)
+from repro.security.observer import TraceObserver, collect_observation
 
 SOURCE = """
 secret int key = 1;
@@ -24,7 +21,7 @@ void main() {
 
 def test_collect_observation_fields(fast_config):
     compiled = compile_source(SOURCE, mode="plain")
-    trace = collect_observation(compiled.program, sempe=False,
+    trace = collect_observation(compiled.program, defense="plain",
                                 config=fast_config)
     assert trace.cycles > 0
     assert trace.instruction_count > 0
@@ -42,7 +39,7 @@ def test_collect_observation_fields(fast_config):
 
 def test_keep_streams_records_sequences(fast_config):
     compiled = compile_source(SOURCE, mode="plain")
-    trace = collect_observation(compiled.program, sempe=False,
+    trace = collect_observation(compiled.program, defense="plain",
                                 config=fast_config, keep_streams=True)
     assert len(trace.pc_sequence) == trace.instruction_count
     assert trace.mem_addresses      # the array writes
@@ -50,9 +47,9 @@ def test_keep_streams_records_sequences(fast_config):
 
 def test_digest_matches_streams(fast_config):
     compiled = compile_source(SOURCE, mode="plain")
-    first = collect_observation(compiled.program, sempe=False,
+    first = collect_observation(compiled.program, defense="plain",
                                 config=fast_config, keep_streams=True)
-    second = collect_observation(compiled.program, sempe=False,
+    second = collect_observation(compiled.program, defense="plain",
                                  config=fast_config, keep_streams=False)
     assert first.pc_digest == second.pc_digest
     assert first.mem_digest == second.mem_digest
@@ -81,10 +78,10 @@ def test_secret_poke_changes_functional_result(fast_config):
     int result = 0;
     void main() { result = key * 2; }
     """, mode="plain")
-    trace_a = collect_observation(compiled.program, sempe=False,
+    trace_a = collect_observation(compiled.program, defense="plain",
                                   secret_values={"key": 3},
                                   config=fast_config)
-    trace_b = collect_observation(compiled.program, sempe=False,
+    trace_b = collect_observation(compiled.program, defense="plain",
                                   secret_values={"key": 4},
                                   config=fast_config)
     # Straight-line data flow: no observable difference...
@@ -98,7 +95,7 @@ def test_secret_poke_changes_functional_result(fast_config):
 # must never reach the next — the multi-trial attack engine's bedrock.
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ("reference", "fast"))
+@pytest.mark.parametrize("engine", ("reference", "fast", "batch"))
 @pytest.mark.parametrize("mode,sempe", (("plain", False), ("sempe", True)))
 def test_observation_trials_are_hermetic(engine, mode, sempe, fast_config):
     """The same (program, secret) twice back-to-back yields identical
@@ -108,16 +105,17 @@ def test_observation_trials_are_hermetic(engine, mode, sempe, fast_config):
     spec = get_workload("memcmp")
     compiled = spec.compile(mode, **spec.leak_resolve())
     secret = tuple(spec.secret_values()[0])
-    first = collect_observation(compiled.program, sempe=sempe,
+    machine = "sempe" if sempe else "plain"
+    first = collect_observation(compiled.program, defense=machine,
                                 secret_values={spec.secret: secret},
                                 config=fast_config, engine=engine)
-    second = collect_observation(compiled.program, sempe=sempe,
+    second = collect_observation(compiled.program, defense=machine,
                                  secret_values={spec.secret: secret},
                                  config=fast_config, engine=engine)
     assert first == second
 
 
-@pytest.mark.parametrize("engine", ("reference", "fast"))
+@pytest.mark.parametrize("engine", ("reference", "fast", "batch"))
 def test_interleaved_secrets_leave_no_residue(engine, fast_config):
     """A different secret in between must not perturb a repeated run:
     trained StridePrefetcher/TAGE state from trial N-1 cannot show up
@@ -127,13 +125,13 @@ def test_interleaved_secrets_leave_no_residue(engine, fast_config):
     spec = get_workload("memcmp")
     compiled = spec.compile("plain", **spec.leak_resolve())
     values = [tuple(v) for v in spec.secret_values()]
-    baseline = collect_observation(compiled.program, sempe=False,
+    baseline = collect_observation(compiled.program, defense="plain",
                                    secret_values={spec.secret: values[0]},
                                    config=fast_config, engine=engine)
-    collect_observation(compiled.program, sempe=False,
+    collect_observation(compiled.program, defense="plain",
                         secret_values={spec.secret: values[-1]},
                         config=fast_config, engine=engine)
-    repeated = collect_observation(compiled.program, sempe=False,
+    repeated = collect_observation(compiled.program, defense="plain",
                                    secret_values={spec.secret: values[0]},
                                    config=fast_config, engine=engine)
     assert repeated == baseline
@@ -141,7 +139,7 @@ def test_interleaved_secrets_leave_no_residue(engine, fast_config):
 
 def test_cache_occupancy_recorded_and_engine_independent(fast_config):
     compiled = compile_source(SOURCE, mode="plain")
-    traces = [collect_observation(compiled.program, sempe=False,
+    traces = [collect_observation(compiled.program, defense="plain",
                                   config=fast_config, engine=engine)
               for engine in ("reference", "fast")]
     assert traces[0].cache_occupancy == traces[1].cache_occupancy

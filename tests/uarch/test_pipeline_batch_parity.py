@@ -22,12 +22,15 @@ np = pytest.importorskip("numpy")
 
 from repro.arch.batch import BatchExecutor
 from repro.arch.fast_executor import FastExecutor
-from repro.core.engine import flush_penalty_cycles, resolve_defense
+from repro.core.engine import (
+    flush_penalty_cycles,
+    poke_secrets,
+    resolve_defense,
+)
 from repro.defenses import iter_defenses
 from repro.security.observer import (
     collect_observation,
     collect_observations_batch,
-    poke_secrets,
 )
 from repro.uarch import batch_pipeline
 from repro.uarch.config import MachineConfig

@@ -34,7 +34,7 @@ def test_modexp_baseline_leaks_key_hamming_weight(fast_config):
     source = modexp_source(bits=8, key=0)
     compiled = compile_source(source, mode="plain")
     report = noninterference_report(
-        compiled.program, "ekey", [0x00, 0x0F, 0xFF], sempe=False,
+        compiled.program, "ekey", [0x00, 0x0F, 0xFF], defense="plain",
         config=fast_config,
     )
     assert "timing" in report.leaking_channels()
@@ -44,7 +44,7 @@ def test_modexp_sempe_closes_channel(fast_config):
     source = modexp_source(bits=8, key=0)
     compiled = compile_source(source, mode="sempe")
     report = noninterference_report(
-        compiled.program, "ekey", [0x00, 0x0F, 0xFF, 0x5A], sempe=True,
+        compiled.program, "ekey", [0x00, 0x0F, 0xFF, 0x5A], defense="sempe",
         config=fast_config,
     )
     assert report.secure, report.leaking_channels()

@@ -51,8 +51,7 @@ def test_reference_is_key_independent():
 def test_machine_matches_reference_model(params, fast_config):
     """The mini-C gadget and the Python model compute the same ``out``
     for every representative key — on the grid variant too."""
-    from repro.core.engine import simulate
-    from repro.security.observer import poke_secrets
+    from repro.core.engine import poke_secrets
 
     spec = get_workload("spectre")
     resolved = spec.resolve(params)
