@@ -5,7 +5,7 @@ PYTEST := python -m pytest
 
 .PHONY: test test-fast test-slow parity sweep registry-smoke attack-smoke \
 	defense-smoke chaos-smoke static-smoke spectre-smoke lint bench-perf \
-	bench-gate bench-quick bench-full ci
+	bench-gate bench-quick bench-full perfbench-smoke ci
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -111,6 +111,16 @@ bench-perf:
 bench-gate:
 	python benchmarks/bench_gate.py
 
+# Repository-benchmark smoke: one untraced and one traced pass of the
+# attack workload (about 1 s each).  Red unless the last line reports
+# "correct": true — every cell's verdict and simulated cycles match
+# perfbench/reference.json and the traced run's per-layer self-check
+# holds.
+perfbench-smoke:
+	python3 perfbench/run.py --workload attack --seed 1 --seconds 5 \
+		--trace 1 | tee /dev/stderr | tail -n 1 \
+		| grep -q '"correct": true'
+
 # CI entry: tier-1 tests plus the quick-scale engine benchmark.
 bench-quick: test bench-perf
 
@@ -122,8 +132,9 @@ bench-full:
 # attack + defense + chaos + static + spectre smokes, fast lane then
 # slow lane (their union is exactly tier-1), the parity gate (re-run
 # deliberately as a named check even though the fast lane includes
-# it), the bench smoke (which refreshes BENCH_perf.json), and the
+# it), the bench smoke (which refreshes BENCH_perf.json, then runs the
+# attack workload of the repository benchmark), and the
 # perf-regression gate.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
 	static-smoke spectre-smoke test-fast test-slow parity bench-perf \
-	bench-gate
+	perfbench-smoke bench-gate

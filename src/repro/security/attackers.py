@@ -365,7 +365,8 @@ def execute_attack(spec: AttackSpec, mode: str,
             if attacker.scalar:
                 class_samples[label].append(measured)
             else:
-                labelled_pairs.append((label, observation_key(measured)))
+                labelled_pairs.append((label, attacker._measured_key(
+                    measured, templates, template_keys)))
     if attacker.scalar:
         ttest = welch_t_test(class_samples[0], class_samples[1])
         statistic, p_value, stat_kind = (
@@ -440,11 +441,12 @@ def _choose_pair(attacker: Attacker, observables: list) -> tuple[int, int]:
                 if gap > best_gap:
                     best, best_gap = (i, j), gap
         return best
-    for i in range(n):
-        for j in range(i + 1, n):
-            if observation_key(observables[i]) != observation_key(
-                    observables[j]):
-                return (i, j)
+    # The first differing pair (i, j) in scan order always has i == 0:
+    # if every observable matches the first, they all match each other.
+    first = observation_key(observables[0])
+    for j in range(1, n):
+        if observation_key(observables[j]) != first:
+            return (0, j)
     return (0, 1)
 
 

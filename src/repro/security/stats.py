@@ -217,12 +217,25 @@ def permutation_test(pairs: Sequence[tuple[Hashable, Hashable]],
     default leaves a comfortable margin below the attack engine's 0.01
     decision threshold even when a few shuffles of a small balanced
     campaign tie the observed statistic by chance.
+
+    Labels and observations are interned once, before the shuffle loop,
+    to small int codes in first-occurrence order, so each shuffle
+    counts ints instead of re-hashing (possibly long, nested-tuple)
+    observation keys.  This is exact, not approximate: equal keys get
+    equal codes, and first-occurrence codes fill every counting dict in
+    the same insertion order, so the entropy sums add the same floats
+    in the same order.  ``rng.shuffle`` draws depend only on the list
+    length, so *rng* is left in the same state for its later users.
     """
     observed = paired_mutual_information_bits(pairs)
     if len(pairs) < 2:
         return observed, 1.0
-    labels = [label for label, _obs in pairs]
-    observations = [obs for _label, obs in pairs]
+    label_codes: dict = {}
+    obs_codes: dict = {}
+    labels = [label_codes.setdefault(label, len(label_codes))
+              for label, _obs in pairs]
+    observations = [obs_codes.setdefault(obs, len(obs_codes))
+                    for _label, obs in pairs]
     at_least = 0
     for _ in range(rounds):
         rng.shuffle(labels)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 pytestmark = pytest.mark.attack
 
@@ -142,6 +143,78 @@ def test_permutation_test_deterministic_per_seed():
     first = permutation_test(pairs, random.Random(42))
     second = permutation_test(pairs, random.Random(42))
     assert first == second
+
+
+def _reference_permutation_test(pairs, rng, rounds=500):
+    """The pre-interning permutation test, kept verbatim as an oracle:
+    it shuffles and counts the raw labels and observation keys."""
+    observed = paired_mutual_information_bits(pairs)
+    if len(pairs) < 2:
+        return observed, 1.0
+    labels = [label for label, _obs in pairs]
+    observations = [obs for _label, obs in pairs]
+    at_least = 0
+    for _ in range(rounds):
+        rng.shuffle(labels)
+        shuffled = paired_mutual_information_bits(
+            list(zip(labels, observations)))
+        if shuffled >= observed - 1e-12:
+            at_least += 1
+    return observed, (1 + at_least) / (1 + rounds)
+
+
+# Mixed-type labels, including distinct objects that compare (and hash)
+# equal across types: 1 == True == 1.0 and 0 == False.
+_LABELS = st.sampled_from([0, 1, 2, 3, True, False, 1.0, "a", "b", None,
+                           (0, 1)])
+# Observation keys shaped like observation_key output: type-tagged,
+# nested, and sometimes long.
+_LEAF = st.one_of(st.integers(-3, 3), st.text(max_size=3),
+                  st.tuples(st.just("int"), st.integers(0, 2)))
+_OBSERVATION = st.recursive(
+    _LEAF,
+    lambda children: st.tuples(st.just("tuple"),
+                               st.lists(children, max_size=6).map(tuple)),
+    max_leaves=40)
+_LONG_OBSERVATION = st.integers(0, 2).map(
+    lambda k: ("tuple", tuple(("tuple", (("int", i), ("int", i * k)))
+                              for i in range(300))))
+
+
+@st.composite
+def _labelled_pairs(draw):
+    # A small pool of observations so that labels share observations;
+    # each pair rebuilds its observation so equal keys are not identical.
+    pool = draw(st.lists(st.one_of(_OBSERVATION, _LONG_OBSERVATION),
+                         min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(_LABELS, st.integers(0, len(pool) - 1)),
+                          max_size=24))
+    return [(label, _copy_key(pool[index])) for label, index in picks]
+
+
+def _copy_key(key):
+    if isinstance(key, tuple):
+        return tuple(_copy_key(item) for item in key)
+    return key
+
+
+# Four labels over 32 long observation keys, at the default 500 rounds.
+_CAMPAIGN_RNG = random.Random(1)
+_LONG_KEYS = [("tuple", tuple(("int", (i * k) % 7) for i in range(500)))
+              for k in range(4)]
+_CAMPAIGN = [(_CAMPAIGN_RNG.choice([0, 1, 2, "x"]),
+              _LONG_KEYS[_CAMPAIGN_RNG.randrange(4)]) for _ in range(32)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_pairs(), st.integers(0, 2**32), st.integers(0, 40))
+@example(_CAMPAIGN, 9, 500)
+def test_permutation_test_matches_reference(pairs, seed, rounds):
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    got = permutation_test(pairs, rng, rounds)
+    want = _reference_permutation_test(pairs, reference_rng, rounds)
+    assert got == want                   # exact, not approximate
+    assert rng.getstate() == reference_rng.getstate()
 
 
 # --------------------------------------------------------------------------
