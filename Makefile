@@ -4,8 +4,8 @@ export PYTHONPATH
 PYTEST := python -m pytest
 
 .PHONY: test test-fast test-slow parity sweep registry-smoke attack-smoke \
-	defense-smoke chaos-smoke static-smoke spectre-smoke lint bench-perf \
-	bench-gate bench-quick bench-full perfbench-smoke ci
+	defense-smoke chaos-smoke static-smoke spectre-smoke examples-smoke \
+	lint bench-perf bench-gate bench-quick bench-full perfbench-smoke ci
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -19,9 +19,10 @@ test-fast:
 test-slow:
 	$(PYTEST) -x -q -m slow
 
-# Golden engine equivalence suites: fast-vs-reference and the
+# Golden engine equivalence suites: fast-vs-reference, the
 # batched-vs-serial lane parity (every lane of a BatchExecutor must be
-# byte-identical to a serial run, reports and observation traces).
+# byte-identical to a serial run, reports and observation traces), and
+# the golden SimulationReports that pin the timing model.
 parity:
 	$(PYTEST) -x -q -m parity
 
@@ -88,6 +89,14 @@ spectre-smoke:
 	python -m repro verify --workload spectre --defense fence \
 		--speculation
 
+# Examples smoke: every script under examples/ runs to completion
+# (nothing else exercises them, so an API change would otherwise break
+# them silently).  Red on the first non-zero exit.
+examples-smoke:
+	@set -e; for script in examples/*.py; do \
+		echo "examples-smoke: $$script"; python $$script > /dev/null; \
+	done
+
 # Lint lane: ruff over the whole tree, mypy strict on the
 # proof-bearing packages (config in pyproject.toml).  The tools ship
 # via requirements-ci.txt; when they are absent locally each check is
@@ -129,12 +138,12 @@ bench-full:
 	REPRO_BENCH_SCALE=full $(PYTEST) benchmarks -q -s
 
 # Mirror of .github/workflows/ci.yml: the lint lane, registry +
-# attack + defense + chaos + static + spectre smokes, fast lane then
-# slow lane (their union is exactly tier-1), the parity gate (re-run
-# deliberately as a named check even though the fast lane includes
-# it), the bench smoke (which refreshes BENCH_perf.json, then runs the
+# attack + defense + chaos + static + spectre + examples smokes, fast
+# lane then slow lane (their union is exactly tier-1), the parity gate
+# (re-run deliberately as a named check even though the fast lane
+# includes it), the bench smoke (which refreshes BENCH_perf.json, then runs the
 # attack workload of the repository benchmark), and the
 # perf-regression gate.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
-	static-smoke spectre-smoke test-fast test-slow parity bench-perf \
-	perfbench-smoke bench-gate
+	static-smoke spectre-smoke examples-smoke test-fast test-slow parity \
+	bench-perf perfbench-smoke bench-gate

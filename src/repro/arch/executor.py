@@ -34,7 +34,10 @@ from repro.isa.registers import NUM_REGS
 from repro.mem.memory import FlatMemory
 from repro.mem.scratchpad import ScratchpadMemory
 from repro.arch.state import ArchState, to_signed, to_unsigned
-from repro.arch.trace import DynInstr, DrainEvent, TraceRecord, TransientInstr
+from repro.arch.trace import (
+    CHUNK_RECORDS, DRAIN_REASON_ID, TRANSIENT_PC_BASE, DynInstr, DrainEvent,
+    TraceChunk, TraceRecord, TransientInstr,
+)
 from repro.uarch.config import SpeculationConfig
 
 
@@ -156,6 +159,47 @@ class Executor:
             inst = instructions[state.pc]
             yield from self._step(inst)
         self.result.halted = True
+
+    def run_chunks(self, line_bytes: int = 64) -> Iterator[TraceChunk]:
+        """Execute to completion, yielding :meth:`run`'s trace as
+        columnar chunks — the exact inverse of :meth:`TraceChunk.records`,
+        so this engine feeds the same timing loop as
+        :class:`~repro.arch.fast_executor.FastExecutor`.
+
+        *line_bytes* is the instruction-cache line size of the chunks'
+        predecoded tables (must match the timing model's IL1).
+        """
+        pred = self.program.predecode(line_bytes)
+        seq0 = self._seq
+        col_pc: list[int] = []
+        col_addr: list[int] = []
+        col_taken: list[int] = []
+        for record in self.run():
+            kind = record.kind
+            if kind == "drain":
+                pc = -1 - DRAIN_REASON_ID[record.reason]
+                addr = record.spm_cycles
+                taken = record.level
+            else:
+                if kind == "transient":
+                    pc = TRANSIENT_PC_BASE - record.pc
+                    addr = record.mem_addr
+                else:
+                    pc = record.pc
+                    addr = (record.target if record.opclass is OpClass.IJUMP
+                            else record.mem_addr)
+                if addr is None:
+                    addr = -1
+                taken = -1 if record.taken is None else int(record.taken)
+            col_pc.append(pc)
+            col_addr.append(addr)
+            col_taken.append(taken)
+            if len(col_pc) >= CHUNK_RECORDS:
+                yield TraceChunk(seq0, col_pc, col_addr, col_taken, pred)
+                seq0 += len(col_pc)
+                col_pc, col_addr, col_taken = [], [], []
+        if col_pc:
+            yield TraceChunk(seq0, col_pc, col_addr, col_taken, pred)
 
     def run_to_completion(self) -> ExecutionResult:
         """Execute, discarding the trace; returns the summary."""

@@ -14,20 +14,25 @@ core, no security; the other schemes apply their machine hooks
 (fences, cache partitioning/randomization, exit flush) on the
 baseline core.
 
-Three engines produce bit-identical :class:`SimulationReport`\\ s:
+Three functional engines produce bit-identical
+:class:`SimulationReport`\\ s, all timed by the one out-of-order loop,
+:meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`:
 
 * ``fast`` (the default) — predecoded dispatch plus a columnar batched
-  trace (:class:`~repro.arch.fast_executor.FastExecutor` feeding
-  :meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`);
+  trace (:class:`~repro.arch.fast_executor.FastExecutor`);
 * ``batch`` — the trial-batched vectorized engine
   (:class:`~repro.arch.batch.BatchExecutor`, numpy-backed); a single
   ``simulate`` call runs it with one lane, but observation campaigns
   (:func:`repro.security.observer.collect_observations_batch`, through
   :meth:`SempeMachine.run_lanes`) share one decode and one batched
   execution across all their trials;
-* ``reference`` — the original object-per-instruction stream, kept as
-  the readable oracle the parity suites check both other engines
-  against.
+* ``reference`` — the original object-per-instruction executor, kept
+  as the readable *functional* oracle; its record stream reaches the
+  timing loop encoded as chunks (:meth:`Executor.run_chunks
+  <repro.arch.executor.Executor.run_chunks>`).
+
+The timing itself is pinned by committed golden reports
+(``tests/core/golden/``).
 
 Select with the ``engine=`` argument, :func:`set_default_engine` (the
 CLI's ``--engine`` flag), or the ``REPRO_ENGINE`` environment variable.
@@ -113,9 +118,10 @@ class SimulationReport:
         )
 
 
-# Engine registry.  All three are bit-identical (the golden parity and
-# batch-parity suites enforce it); "reference" stays as the readable
-# oracle.  "batch" requires numpy and shines on multi-trial campaigns.
+# Engine registry.  All three are bit-identical (the golden reports and
+# the parity suites enforce it); "reference" stays as the readable
+# functional oracle.  "batch" requires numpy and shines on multi-trial
+# campaigns.
 ENGINES = ("fast", "batch", "reference")
 _default_engine = "fast"
 _default_engine_overridden = False
@@ -260,8 +266,9 @@ class SempeMachine:
         the post-run :class:`~repro.uarch.batch_pipeline.PipelineOutcome`
         (residue digests included) as ``observer.outcome``.
 
-        The fast and reference engines share this serial path; the
-        batch engine runs as one lane of :meth:`run_lanes`.
+        The fast and reference engines share this serial path —
+        ``run_chunks`` → drain scaling → observer tee → the timing
+        loop; the batch engine runs as one lane of :meth:`run_lanes`.
         """
         if self.engine == "batch":
             return self.run_lanes(
@@ -277,19 +284,13 @@ class SempeMachine:
         pipeline = OutOfOrderPipeline(config, sempe=self.sempe,
                                       fence=self.fence)
         pipeline.rename_overhead = self.rename_overhead
-        if self.engine == "fast":
-            stream = executor.run_chunks(
-                line_bytes=config.hierarchy.il1.line_bytes)
-            scale, tee, timing = (scale_chunk_drains, _observed_chunks,
-                                  pipeline.run_chunks)
-        else:
-            stream = executor.run()
-            scale, tee, timing = _scale_drains, _observed, pipeline.run
+        stream = executor.run_chunks(
+            line_bytes=config.hierarchy.il1.line_bytes)
         if self.drain_scale != 1.0:
-            stream = scale(stream, self.drain_scale)
+            stream = scale_chunk_drains(stream, self.drain_scale)
         if observer is not None:
-            stream = tee(stream, observer)
-        stats = timing(stream)
+            stream = _observed_chunks(stream, observer)
+        stats = pipeline.run_chunks(stream)
         if self.flush_penalty:
             # Constant-cost exit flush; the residue itself is cleared
             # so post-run observers see a secret-independent machine.
@@ -389,15 +390,6 @@ def _drain_scale(mechanism) -> float:
     return mechanism.snapshot_bytes() / max(reference.snapshot_bytes(), 1)
 
 
-def _scale_drains(trace, scale: float):
-    """Record-stream twin of
-    :func:`~repro.uarch.batch_pipeline.scale_chunk_drains`."""
-    for record in trace:
-        if record.kind == "drain":
-            record.spm_cycles = max(1, int(round(record.spm_cycles * scale)))
-        yield record
-
-
 def _observed_chunks(chunks, observer):
     """Tee a chunk stream into *observer* through the re-materializing
     ``records()`` adapter (bit-identical to the reference stream by the
@@ -406,13 +398,6 @@ def _observed_chunks(chunks, observer):
         for record in chunk.records():
             observer.observe(record)
         yield chunk
-
-
-def _observed(trace, observer):
-    """Tee a record stream into *observer*."""
-    for record in trace:
-        observer.observe(record)
-        yield record
 
 
 def simulate(

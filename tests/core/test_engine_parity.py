@@ -1,6 +1,11 @@
 """Golden parity: the fast engine is bit-identical to the reference.
 
-The reference engine is the oracle; every field of the
+The reference engine is the *functional* oracle.  Both engines feed
+the one timing loop (``OutOfOrderPipeline.run_chunks``), the reference
+through its ``Executor.run_chunks`` encoding, so a report mismatch here
+names a functional divergence or a broken encoding, never a second
+timing model; the timing numbers themselves are pinned by the golden
+reports in ``tests/core/golden/``.  Every field of the
 :class:`SimulationReport` — cycles, IPC, miss rates, final registers,
 the full functional counters (including drains and op counts) and the
 full pipeline stats — must match exactly for every workload, machine
