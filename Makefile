@@ -5,7 +5,8 @@ PYTEST := python -m pytest
 
 .PHONY: test test-fast test-slow parity sweep registry-smoke attack-smoke \
 	defense-smoke chaos-smoke static-smoke spectre-smoke examples-smoke \
-	lint bench-perf bench-gate bench-quick bench-full perfbench-smoke ci
+	lint bench-perf bench-gate bench-quick bench-full perfbench-smoke \
+	src-lines ci
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -130,6 +131,11 @@ perfbench-smoke:
 		--trace 1 | tee /dev/stderr | tail -n 1 \
 		| grep -q '"correct": true'
 
+# Size of the library: the `src/` Python line count the roadmap tracks
+# next to the bench rows (it should fall, not creep).
+src-lines:
+	@find src -name '*.py' | xargs cat | wc -l
+
 # CI entry: tier-1 tests plus the quick-scale engine benchmark.
 bench-quick: test bench-perf
 
@@ -141,9 +147,9 @@ bench-full:
 # attack + defense + chaos + static + spectre + examples smokes, fast
 # lane then slow lane (their union is exactly tier-1), the parity gate
 # (re-run deliberately as a named check even though the fast lane
-# includes it), the bench smoke (which refreshes BENCH_perf.json, then runs the
-# attack workload of the repository benchmark), and the
-# perf-regression gate.
+# includes it), the bench smoke (which refreshes BENCH_perf.json, runs the
+# attack workload of the repository benchmark and records the `src/`
+# line count), and the perf-regression gate.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
 	static-smoke spectre-smoke examples-smoke test-fast test-slow parity \
-	bench-perf perfbench-smoke bench-gate
+	bench-perf perfbench-smoke src-lines bench-gate

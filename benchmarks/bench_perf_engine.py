@@ -425,16 +425,7 @@ def measure(scale) -> dict:
 
 
 def test_bench_perf_engine(scale):
-    if os.environ.get("REPRO_BENCH_PROFILE"):
-        # Per-phase breakdown of the whole benchmark run
-        # (fetch/memory/schedule/functional) — the satellite profiling
-        # hook; the CLI twin is ``repro run --profile-pipeline``.
-        from repro.uarch.profile import profiled_pipeline
-
-        with profiled_pipeline():
-            entry = measure(scale)
-    else:
-        entry = measure(scale)
+    entry = measure(scale)
     assert not validate_entry(entry), validate_entry(entry)
     _append_trajectory(entry)
 

@@ -32,7 +32,7 @@ import sys
 from repro.core.engine import ENGINES, simulate
 from repro.isa.encoding import encode_program
 from repro.isa.disassembler import disassemble_binary
-from repro.lang.compiler import MODES, compile_source
+from repro.lang.compiler import compile_source
 
 
 def _read_source(path: str) -> str:
@@ -70,7 +70,7 @@ def _print_cache_stats() -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    mode = args.mode or "sempe"
+    mode = _resolve_cli_defense(args).compile_mode
     compiled = compile_source(_read_source(args.file), mode=mode,
                               collapse_ifs=args.collapse_ifs)
     print(f"; mode={mode}  instructions={len(compiled.program)}  "
@@ -105,17 +105,11 @@ class _UsageError(Exception):
 
 
 def _resolve_cli_defense(args: argparse.Namespace):
-    """The defense a command runs under (``--defense``, with ``--mode``
-    kept as the back-compat alias — the legacy mode names are all
-    registered defenses)."""
+    """The registered defense named by ``--defense``."""
     from repro.defenses import get_defense
 
-    chosen = getattr(args, "defense", None)
-    if chosen and getattr(args, "mode", None):
-        raise _UsageError("give --defense or the legacy --mode alias, "
-                          "not both")
     try:
-        return get_defense(chosen or args.mode or "sempe")
+        return get_defense(args.defense)
     except ValueError as error:
         raise _UsageError(str(error)) from error
 
@@ -154,15 +148,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # --legacy runs the binary on the unprotected machine regardless of
     # how it was compiled (the backward-compatibility story).
     machine_defense = "plain" if args.legacy else defense.name
-    if args.profile_pipeline:
-        from repro.uarch.profile import profiled_pipeline
-
-        with profiled_pipeline():
-            report = simulate(compiled.program, defense=machine_defense,
-                              engine=args.engine)
-    else:
-        report = simulate(compiled.program, defense=machine_defense,
-                          engine=args.engine)
+    report = simulate(compiled.program, defense=machine_defense,
+                      engine=args.engine)
     machine = "SeMPE" if report.sempe else "baseline"
     print(f"defense:       {machine_defense} "
           f"(compiled as {defense.compile_mode})")
@@ -247,7 +234,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     compiled = compile_source(_read_source(args.file),
-                              mode=args.mode or "sempe")
+                              mode=_resolve_cli_defense(args).compile_mode)
     blob = encode_program(compiled.program)
     print(f"; binary size: {len(blob)} bytes")
     print(disassemble_binary(blob, legacy=False))
@@ -429,22 +416,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         set_store(ResultStore(args.store))
     from repro.security.attackers import expected_verdict
 
-    if args.defense:
-        from repro.defenses import get_defense
-
-        try:
-            protected = get_defense(args.defense).name
-        except ValueError as error:
-            raise _UsageError(str(error)) from error
-        if args.mode != "both":
-            raise _UsageError("give --defense or the legacy --mode "
-                              "alias, not both")
-        # Attack the baseline and the chosen scheme, like the classic
-        # plain-vs-sempe pair.
-        modes = ("plain",) if protected == "plain" else ("plain", protected)
-    else:
-        modes = (("plain", "sempe") if args.mode == "both"
-                 else (args.mode,))
+    # Attack the baseline and the chosen scheme.
+    protected = _resolve_cli_defense(args).name
+    modes = ("plain",) if protected == "plain" else ("plain", protected)
     expected = {mode: expected_verdict(attacker, mode) for mode in modes}
     config = None
     if getattr(args, "speculation", False):
@@ -778,10 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   "omit when using --workload")
         else:
             sub.add_argument("file", help="mini-C source file ('-' for stdin)")
-        sub.add_argument("--mode", choices=MODES, default=None,
-                         help="compiler mode (default sempe); for "
-                              "run/check this is the back-compat alias "
-                              "of --defense")
+        sub.add_argument("--defense", default="sempe",
+                         help="protection scheme (see `repro defenses "
+                              "list`; default sempe): compile with its "
+                              "compiler mode and, for run/check, run "
+                              "under it")
 
     compile_parser = subparsers.add_parser(
         "compile", help="compile and print the assembly listing")
@@ -792,10 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="compile and simulate")
     add_common(run_parser, file_optional=True)
-    run_parser.add_argument("--defense", default=None,
-                            help="protection scheme to compile for and "
-                                 "run under (see `repro defenses list`; "
-                                 "default sempe)")
     run_parser.add_argument("--workload", default=None,
                             help="run a registered victim workload "
                                  "(see `repro workloads list`)")
@@ -811,9 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--collapse-ifs", action="store_true")
     run_parser.add_argument("--globals", default="",
                             help="comma-separated globals to print")
-    run_parser.add_argument("--profile-pipeline", action="store_true",
-                            help="cProfile the run and print a per-phase "
-                                 "time breakdown (fetch/memory/schedule)")
     run_parser.add_argument("--cache-stats", action="store_true",
                             help="print run-cache and store counters")
     run_parser.set_defaults(func=cmd_run)
@@ -821,10 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser = subparsers.add_parser(
         "check", help="noninterference report across secret values")
     add_common(check_parser, file_optional=True)
-    check_parser.add_argument("--defense", default=None,
-                              help="protection scheme to audit under "
-                                   "(see `repro defenses list`; "
-                                   "default sempe)")
     check_parser.add_argument("--workload", default=None,
                               help="audit a registered victim workload "
                                    "with its declared secret and values")
@@ -879,15 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "workloads list`)")
     attack_parser.add_argument("--attacker", default=None,
                                help="adversary (see `repro attack list`)")
-    attack_parser.add_argument("--mode", default="both",
-                               choices=("plain", "sempe", "both"),
-                               help="attack the baseline, the SeMPE "
-                                    "machine, or both (default)")
-    attack_parser.add_argument("--defense", default=None,
+    attack_parser.add_argument("--defense", default="sempe",
                                help="attack the baseline and this "
-                                    "protection scheme instead of the "
-                                    "plain/sempe pair (see `repro "
-                                    "defenses list`)")
+                                    "protection scheme (see `repro "
+                                    "defenses list`; default sempe)")
     attack_parser.add_argument("--trials", type=int, default=32,
                                help="noisy measurements per campaign "
                                     "(default 32)")

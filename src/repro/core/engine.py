@@ -46,6 +46,7 @@ the same machine for the same inputs.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ from repro.uarch.batch_pipeline import (
     lane_outcomes,
     residue_digests,
     scale_chunk_drains,
+    transient_tee,
 )
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
@@ -182,8 +184,8 @@ def poke_secrets(memory, symbols: dict[str, int],
     This is the one place secrets are encoded into the machine: scalar
     secrets are masked to the 8-byte word their ``secret int`` symbol
     occupies, and array secrets (lists/tuples) fill consecutive 8-byte
-    words.  Every consumer — observation collection, the concrete
-    attacks, the leak experiments — must poke through here so attacker
+    words.  Every consumer — observation collection, the attack
+    engine, the leak experiments — must poke through here so attacker
     and victim agree on the secret's width and encoding.
     """
     for name, value in (secret_values or {}).items():
@@ -264,7 +266,7 @@ class SempeMachine:
         ``observer`` (:class:`~repro.security.observer.TraceObserver`)
         is fed the run's trace record by record, and afterwards gets
         the post-run :class:`~repro.uarch.batch_pipeline.PipelineOutcome`
-        (residue digests included) as ``observer.outcome``.
+        (residue and transient digests included) as ``observer.outcome``.
 
         The fast and reference engines share this serial path —
         ``run_chunks`` → drain scaling → observer tee → the timing
@@ -288,7 +290,11 @@ class SempeMachine:
             line_bytes=config.hierarchy.il1.line_bytes)
         if self.drain_scale != 1.0:
             stream = scale_chunk_drains(stream, self.drain_scale)
+        transient_hash = hashlib.sha256()
         if observer is not None:
+            if config.speculation.enabled:
+                stream = transient_tee(stream, transient_hash,
+                                       config.hierarchy.dl1.line_bytes)
             stream = _observed_chunks(stream, observer)
         stats = pipeline.run_chunks(stream)
         if self.flush_penalty:
@@ -303,7 +309,7 @@ class SempeMachine:
                 *residue_digests(pipeline.hierarchy, pipeline.predictor,
                                  pipeline.btb, pipeline.ittage,
                                  pipeline.ras),
-                transient_digest=observer.transient_digest)
+                transient_digest=transient_hash.hexdigest())
         return SimulationReport(
             program_name=program.name,
             sempe=self.sempe,

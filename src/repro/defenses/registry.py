@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.fingerprint import fingerprint
+
 # Modules that register defenses on import (the same lazy-load pattern
 # as the workload registry: load_all() imports them all, and this
 # module stays importable by anything without cycles).
@@ -41,9 +43,8 @@ _DEFENSE_MODULES = ("repro.defenses.builtin",)
 _REGISTRY: dict[str, "DefenseSpec"] = {}
 _loaded = False
 
-# The three compiler modes that predate the registry.  ``--mode`` stays
-# a back-compat alias restricted to these; ``--defense`` accepts any
-# registered scheme.
+# The three compiler modes that predate the registry; each is also a
+# registered defense of the same name.
 LEGACY_MODES = ("plain", "sempe", "cte")
 
 
@@ -126,8 +127,6 @@ class DefenseSpec:
         harness mixes this into every cell descriptor so a change to a
         defense's semantics re-addresses its cached results.
         """
-        from repro.harness.store import fingerprint
-
         return fingerprint(self.describe())
 
 

@@ -470,24 +470,24 @@ def leakmatrix(defenses: tuple[str, ...] | None = None,
 # Attack matrix — every victim x every applicable adversary, both machines
 # --------------------------------------------------------------------------
 
-ATTACK_ENGINES = ("fast", "batch", "reference")
+# The science grids run every attack cell on the batch engine; that the
+# engines agree is the parity job's claim, not the grids'.
+ATTACK_ENGINE = "batch"
 ATTACK_TRIALS = 32
 
 
 def attacks_cells(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
                   **_ignored) -> list[SweepCell]:
-    """Every registered workload x applicable attacker x defense x
-    {fast, batch, reference} — the full three-axis adversarial product,
-    as sweep cells (so ``repro sweep attacks --jobs N`` fans the trials
+    """Every registered workload x applicable attacker x defense, as
+    sweep cells (so ``repro sweep attacks --jobs N`` fans the trials
     out across the pool and caches the reports in the store)."""
     cells: list[SweepCell] = []
     for spec in iter_workloads():
         for attacker in applicable_attackers(spec):
             attack = AttackSpec(spec.name, attacker, trials=ATTACK_TRIALS)
             for mode in defenses:
-                for engine in ATTACK_ENGINES:
-                    cells.append(SweepCell("attack", attack, mode,
-                                           None, engine))
+                cells.append(SweepCell("attack", attack, mode,
+                                       None, ATTACK_ENGINE))
     return cells
 
 
@@ -498,43 +498,30 @@ def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
     The headline security table: on the baseline machine every
     applicable adversary recovers the victim's key; under SeMPE every
     one of them degrades to chance; every other scheme drives the
-    attackers on its declared-protected channels to chance — with
-    identical verdicts from the reference and the fast engine.  A
-    ``!`` marks a verdict that contradicts the defense's claim.
+    attackers on its declared-protected channels to chance.  A ``!``
+    marks a verdict that contradicts the defense's claim.
     """
     ensure_cells("attacks", attacks_cells(defenses))
-    headers = ["victim", "attacker", "channel", *defenses, "engines"]
+    headers = ["victim", "attacker", "channel", *defenses]
     rows: list[list[object]] = []
     series: dict[tuple[str, str], dict[str, object]] = {}
     for spec in iter_workloads():
         for attacker in applicable_attackers(spec):
             attack = AttackSpec(spec.name, attacker, trials=ATTACK_TRIALS)
-            reports = {
-                (mode, engine): run_attack(attack, mode,
-                                           engine=engine).report
-                for mode in defenses
-                for engine in ATTACK_ENGINES
-            }
-            agree = all(
-                reports[(mode, engine)].verdict
-                == reports[(mode, ATTACK_ENGINES[0])].verdict
-                for mode in defenses for engine in ATTACK_ENGINES)
-            verdicts = {mode: reports[(mode, ATTACK_ENGINES[0])].verdict
-                        for mode in defenses}
-            row: list[object] = [
-                spec.name, attacker,
-                reports[(defenses[0], ATTACK_ENGINES[0])].channel]
+            reports = {mode: run_attack(attack, mode,
+                                        engine=ATTACK_ENGINE).report
+                       for mode in defenses}
+            verdicts = {mode: report.verdict
+                        for mode, report in reports.items()}
+            row: list[object] = [spec.name, attacker,
+                                 reports[defenses[0]].channel]
             for mode in defenses:
                 expected = expected_verdict(attacker, mode)
                 flag = ("" if expected is None
                         or verdicts[mode] == expected else " !")
                 row.append(verdicts[mode] + flag)
-            row.append("agree" if agree else "DIVERGE")
             rows.append(row)
-            entry: dict[str, object] = {
-                "engines_agree": agree,
-                "defenses": verdicts,
-            }
+            entry: dict[str, object] = {"defenses": verdicts}
             if "plain" in verdicts:
                 entry["baseline"] = verdicts["plain"]
             if "sempe" in verdicts:
@@ -620,15 +607,14 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
 def spectre_cells(defenses: tuple[str, ...] | None = None,
                   **_ignored) -> list[SweepCell]:
     """The spectre victim's full adversarial row: mistraining attack
-    (all three engines) plus the verify differential, per defense."""
+    plus the verify differential, per defense."""
     defenses = tuple(defenses) if defenses else tuple(defense_names())
     attack = AttackSpec("spectre", "mistrain-reload",
                         trials=ATTACK_TRIALS)
     config = _leak_config()
     cells: list[SweepCell] = []
     for mode in defenses:
-        for engine in ATTACK_ENGINES:
-            cells.append(SweepCell("attack", attack, mode, None, engine))
+        cells.append(SweepCell("attack", attack, mode, None, ATTACK_ENGINE))
         cells.append(SweepCell("verify", VerifySpec("spectre"),
                                mode, config))
     return cells
@@ -640,12 +626,12 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
 
     Three columns tell the whole story: what the wrong path leaks
     (dynamic noninterference), what the mistraining adversary recovers
-    (the attack engine, engines cross-checked), and whether the static
-    speculative-taint prediction stayed sound (the verify
-    differential).  The expected shape — the bounds-check-bypass gadget
-    leaks under every architectural scheme and dies only under the
-    fence — is asserted via ``series["all_expected"]``, the CI gate the
-    spectre smoke lane checks.
+    (the attack engine), and whether the static speculative-taint
+    prediction stayed sound (the verify differential).  The expected
+    shape — the bounds-check-bypass gadget leaks under every
+    architectural scheme and dies only under the fence — is asserted
+    via ``series["all_expected"]``, the CI gate the spectre smoke lane
+    checks.
     """
     from repro.security.leakage import victim_report
 
@@ -655,8 +641,7 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
     attack = AttackSpec("spectre", "mistrain-reload",
                         trials=ATTACK_TRIALS)
     verify = VerifySpec("spectre")
-    headers = ["defense", "transient leak", "attack verdict",
-               "engines", "verify"]
+    headers = ["defense", "transient leak", "attack verdict", "verify"]
     rows: list[list[object]] = []
     series: dict[str, object] = {}
     per_defense: dict[str, dict[str, object]] = {}
@@ -664,14 +649,11 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
     for mode in defenses:
         leak = victim_report("spectre", mode, config=config)
         leaks = "transient-memory" in leak.leaking_channels()
-        reports = {engine: run_attack(attack, mode, engine=engine).report
-                   for engine in ATTACK_ENGINES}
-        verdicts = {engine: r.verdict for engine, r in reports.items()}
-        agree = len(set(verdicts.values())) == 1
-        verdict = verdicts[ATTACK_ENGINES[0]]
+        verdict = run_attack(attack, mode,
+                             engine=ATTACK_ENGINE).report.verdict
         vreport = run_verify(verify, mode, config=config).report
         expected = expected_verdict("mistrain-reload", mode)
-        ok = (agree and vreport.ok
+        ok = (vreport.ok
               and (expected is None or verdict == expected)
               and leaks == (verdict != "chance"))
         all_expected = all_expected and ok
@@ -679,12 +661,10 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
         rows.append([mode,
                      "LEAKS" if leaks else "closed",
                      verdict + flag,
-                     "agree" if agree else "DIVERGE",
                      "ok" if vreport.ok else "FAIL"])
         per_defense[mode] = {
             "transient_leaks": leaks,
             "attack_verdict": verdict,
-            "engines_agree": agree,
             "verify_ok": vreport.ok,
             "expected": expected,
             "ok": ok,

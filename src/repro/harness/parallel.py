@@ -68,7 +68,7 @@ from repro.harness.runner import (
     get_store,
     install_result,
 )
-from repro.harness.store import fingerprint
+from repro.fingerprint import fingerprint
 from repro.security.attackers import execute_attack
 from repro.workloads.djpeg import compile_djpeg
 from repro.workloads.microbench import compile_microbench

@@ -29,7 +29,8 @@ from repro.analysis.differential import (
 )
 from repro.core.engine import SimulationReport, get_default_engine, simulate
 from repro.defenses.registry import get_defense
-from repro.harness.store import ResultStore, SCHEMA_VERSION, fingerprint
+from repro.fingerprint import fingerprint
+from repro.harness.store import ResultStore, SCHEMA_VERSION
 from repro.security.attackers import AttackReport, AttackSpec, execute_attack
 from repro.uarch.config import MachineConfig
 from repro.workloads.djpeg import DjpegSpec, compile_djpeg
@@ -68,18 +69,6 @@ class RunResult:
     @property
     def miss_rates(self) -> dict[str, float]:
         return self.report.miss_rates
-
-
-def config_fingerprint(config: MachineConfig | None) -> str | None:
-    """Hashable structural identity of a machine configuration.
-
-    The same canonical-JSON SHA-256 notion the cell descriptors use,
-    restricted to the config — there is exactly one definition of
-    "structural fingerprint" in the harness.
-    """
-    if config is None:
-        return None
-    return fingerprint(dataclasses.asdict(config))
 
 
 def cell_descriptor(kind: str, spec, mode: str,

@@ -46,7 +46,7 @@ from repro.harness.runner import (
     run_verify,
     run_workload,
 )
-from repro.harness.store import fingerprint
+from repro.fingerprint import fingerprint
 from repro.analysis.differential import VerifySpec
 from repro.security.attackers import AttackSpec
 from repro.uarch.config import MachineConfig

@@ -1,10 +1,10 @@
 """The statistical attack engine: noisy multi-trial adversaries.
 
-PR 3 grew the victim side of the §III threat model to a registry of
-workloads; this module grows the adversary to match.  Where
-:mod:`repro.security.attacks` demonstrates two noiseless single-trace
-recoveries, the attackers here play the game the side-channel
-literature actually plays:
+The victim side of the §III threat model is a registry of workloads;
+this module grows the adversary to match.  The attackers here play the
+game the side-channel literature actually plays, the paper's Fig. 1
+square-and-multiply timing and branch-trace recoveries among them
+(``timing`` and ``branch-trace`` on ``modexp``):
 
 1. **Profile.**  The adversary knows the victim's code (§III) and can
    run it with secrets of its own choosing.  It collects one hermetic

@@ -80,21 +80,13 @@ class TraceObserver:
         self.mem_addresses: list[int] = []
         self._pc_hash = hashlib.sha256()
         self._mem_hash = hashlib.sha256()
-        self._transient_hash = hashlib.sha256()
         self.instruction_count = 0
         self.outcome = None
 
     def observe(self, record) -> None:
+        # Committed instructions only: the machine digests the wrong
+        # path itself (``outcome.transient_digest``).
         if record.kind != "inst":
-            if record.kind == "transient":
-                # Wrong-path fetch + access stream: what a same-core
-                # attacker reconstructs from the cache lines the squashed
-                # instructions touched (flush+reload on the shared lines).
-                self._transient_hash.update(record.pc.to_bytes(8, "little"))
-                if record.mem_addr is not None:
-                    line = record.mem_addr // self.line_bytes
-                    self._transient_hash.update(
-                        line.to_bytes(8, "little", signed=False))
             return
         self.instruction_count += 1
         self._pc_hash.update(record.pc.to_bytes(8, "little"))
@@ -143,10 +135,6 @@ class TraceObserver:
     @property
     def mem_digest(self) -> str:
         return self._mem_hash.hexdigest()
-
-    @property
-    def transient_digest(self) -> str:
-        return self._transient_hash.hexdigest()
 
 
 def collect_observation(

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.arch.trace import TRANSIENT_PC_BASE
+from repro.fingerprint import config_fingerprint
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import BranchSchedule, OutOfOrderPipeline, \
     PipelineStats
@@ -120,11 +120,14 @@ def scale_chunk_drains(chunks, scale: float):
         yield chunk
 
 
-def _transient_tee(chunks, transient_hash, line_bytes: int):
-    """Tee a chunk stream, hashing its transient rows column-wise —
-    byte-identical to :meth:`TraceObserver.observe` on the
-    re-materialized records: static pc, then the touched data line for
-    rows that carry a memory address."""
+def transient_tee(chunks, transient_hash, line_bytes: int):
+    """Tee a chunk stream, hashing its transient rows column-wise into
+    the ``transient-memory`` channel's digest: what a same-core attacker
+    reconstructs from the lines the squashed instructions touched —
+    static pc, then the touched data line for rows that carry a memory
+    address.  The one implementation both the serial
+    (:meth:`~repro.core.engine.SempeMachine.run`) and the batched
+    timing paths use."""
     for chunk in chunks:
         for pc, addr in zip(chunk.pc, chunk.addr):
             if pc <= TRANSIENT_PC_BASE:
@@ -212,15 +215,6 @@ def _clone(outcome: PipelineOutcome) -> PipelineOutcome:
     )
 
 
-def _config_key(config: MachineConfig) -> str:
-    """Canonical-JSON SHA-256 over every config field (recursively) —
-    the same structural-identity notion the harness store uses, local
-    so the uarch layer stays import-independent of the harness."""
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                         separators=(",", ":"), default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 # --------------------------------------------------------------------------
 # The batched timing path
 # --------------------------------------------------------------------------
@@ -253,7 +247,7 @@ def lane_outcomes(
     global _HITS, _MISSES, _SHARED
 
     base_key = (
-        _config_key(config),
+        config_fingerprint(config),
         defense_fingerprint,
         sempe,
         fence,
@@ -339,7 +333,7 @@ def _compute_outcome(
         stream = scale_chunk_drains(stream, drain_scale)
     transient_hash = hashlib.sha256()
     if config.speculation.enabled:
-        stream = _transient_tee(stream, transient_hash,
+        stream = transient_tee(stream, transient_hash,
                                 config.hierarchy.dl1.line_bytes)
 
     stats = pipeline.run_chunks(stream, schedule)

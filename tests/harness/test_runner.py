@@ -1,9 +1,9 @@
 """Run caching."""
 
+from repro.fingerprint import config_fingerprint
 from repro.harness.runner import (
     cache_info,
     clear_cache,
-    config_fingerprint,
     run_djpeg,
     run_microbench,
 )

@@ -7,12 +7,8 @@ import pytest
 
 from repro.core.engine import SimulationReport
 from repro.harness import runner
-from repro.harness.store import (
-    SCHEMA_VERSION,
-    ResultStore,
-    canonical_json,
-    fingerprint,
-)
+from repro.fingerprint import canonical_json, fingerprint
+from repro.harness.store import SCHEMA_VERSION, ResultStore
 from repro.uarch.config import MachineConfig
 from repro.workloads.microbench import MicrobenchSpec
 

@@ -16,7 +16,8 @@ import pytest
 from repro.defenses import get_defense
 from repro.harness import ResultStore, clear_cache, run_workload, set_store
 from repro.harness.runner import cell_descriptor
-from repro.harness.store import SCHEMA_VERSION, canonical_json, fingerprint
+from repro.fingerprint import canonical_json, fingerprint
+from repro.harness.store import SCHEMA_VERSION
 from repro.workloads.registry import WorkloadRunSpec
 
 

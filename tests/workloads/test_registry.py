@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.experiments import victims_cells
-from repro.harness.store import canonical_json, fingerprint
+from repro.fingerprint import canonical_json, fingerprint
 from repro.harness.sweep import SweepSpec
 from repro.workloads import registry
 from repro.workloads.registry import (
