@@ -122,14 +122,21 @@ bench-gate:
 	python benchmarks/bench_gate.py
 
 # Repository-benchmark smoke: one untraced and one traced pass of the
-# attack workload (about 1 s each).  Red unless the last line reports
-# "correct": true — every cell's verdict and simulated cycles match
-# perfbench/reference.json and the traced run's per-layer self-check
-# holds.
+# attack workload (about 1 s each), then one untraced pass each of the
+# sweep and verify workloads (about 30 s together).  Red unless every
+# last line reports "correct": true — the attack cells' verdicts and
+# simulated cycles, the sweep's cycles and miss rates and verify's
+# verdicts match perfbench/reference.json, and the traced run's
+# per-layer self-check holds.
 perfbench-smoke:
 	python3 perfbench/run.py --workload attack --seed 1 --seconds 5 \
 		--trace 1 | tee /dev/stderr | tail -n 1 \
 		| grep -q '"correct": true'
+	@set -e; for workload in sweep verify; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 5 --trace 0 | tee /dev/stderr | tail -n 1 \
+			| grep -q '"correct": true'; \
+	done
 
 # Size of the library: the `src/` Python line count the roadmap tracks
 # next to the bench rows (it should fall, not creep).
@@ -148,8 +155,8 @@ bench-full:
 # lane then slow lane (their union is exactly tier-1), the parity gate
 # (re-run deliberately as a named check even though the fast lane
 # includes it), the bench smoke (which refreshes BENCH_perf.json, runs the
-# attack workload of the repository benchmark and records the `src/`
-# line count), and the perf-regression gate.
+# attack, sweep and verify workloads of the repository benchmark and
+# records the `src/` line count), and the perf-regression gate.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
 	static-smoke spectre-smoke examples-smoke test-fast test-slow parity \
 	bench-perf perfbench-smoke src-lines bench-gate

@@ -34,11 +34,9 @@ class FoldedHistory:
     bits per lookup (the CBP TAGE reference code's ``folded_history``).
     """
 
-    __slots__ = ("length", "bits", "value", "_old_shift", "_out_shift",
-                 "_mask")
+    __slots__ = ("bits", "value", "_old_shift", "_out_shift", "_mask")
 
     def __init__(self, length: int, bits: int) -> None:
-        self.length = length
         self.bits = bits
         self.value = 0
         self._old_shift = length - 1      # history bit that leaves the window
@@ -46,7 +44,7 @@ class FoldedHistory:
         self._mask = (1 << bits) - 1
 
     def push(self, new: int, history: int) -> None:
-        """Shift bit ``new`` in; ``history`` is the global history before it."""
+        """Push bit ``new``; ``history`` is the global history before it."""
         folded = ((self.value << 1) | new) \
             ^ (((history >> self._old_shift) & 1) << self._out_shift)
         self.value = (folded ^ (folded >> self.bits)) & self._mask
@@ -184,7 +182,8 @@ class Tage(BranchPredictor):
         bit = int(taken)
         for fold in self._folds:
             fold.push(bit, history)
-        self._history = ((history << 1) | bit) & ((1 << self._history_bits) - 1)
+        self._history = ((history << 1) | bit) \
+            & ((1 << self._history_bits) - 1)
 
     def state_digest(self) -> int:
         # (tag, counter, useful) per entry, component-major.

@@ -2,7 +2,7 @@
 
 After every push of a random bit stream, the register must equal the
 chunk-XOR fold of a shadow history int's newest ``length`` bits: the
-fold TAGE and ITTAGE once recomputed on every lookup.
+fold TAGE and ITTAGE hash into their component indices and tags.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.uarch.branch import Ittage, Tage
 from repro.uarch.branch.tage import FoldedHistory
 
 MAX_HISTORY = 128
@@ -66,13 +65,3 @@ def test_length_equal_to_max_history(bits, stream):
     """The longest TAGE component folds the whole 128-bit history."""
     _check_stream(MAX_HISTORY, bits, stream)
 
-
-def test_predictors_fold_every_history_length():
-    """Both predictors keep one index and one tag fold per component, and
-    their geometries include the edge cases above."""
-    for predictor in (Tage(), Ittage()):
-        lengths = predictor.history_lengths
-        assert [fold.length for fold in predictor._index_folds] == lengths
-        assert [fold.length for fold in predictor._tag_folds] == lengths
-        assert lengths[0] < predictor.tag_bits
-    assert Tage().history_lengths[-1] == MAX_HISTORY
